@@ -13,6 +13,11 @@ counters and wall-time phases so benchmark deltas are attributable:
   (``plan.spec``);
 - ``plan.cache_hits`` / ``plan.cache_misses`` — the process-wide
   compiled-plan cache (:func:`repro.sim.plan.shared_plan`);
+- ``plan.codegen_plans`` / ``plan.codegen_bytes`` and the phase
+  ``time.plan.codegen`` — specialized plans generated, the summed
+  length of their source and the seconds spent emitting and compiling
+  it (:class:`repro.sim.specialize.SpecializedPlan`); the byte count is
+  deterministic for a given set of designs;
 - ``batch.<kind>.*`` — the same executor counters for reactions run
   through :func:`repro.sim.batch.simulate_batch` (including
   ``batch.plan.vector_instants``, instants the cross-lane numpy
@@ -43,15 +48,18 @@ counters and wall-time phases so benchmark deltas are attributable:
 
 Hot loops keep their own local integers and merge once per call
 (:meth:`PerfCounters.merge`), so instrumentation stays off the per-node
-fast paths.  Counters from worker processes spawned directly (e.g.
-``compile_lts(workers=N)``) are *not* aggregated — only the
-coordinating process records; sweeps routed through
-:func:`repro.perf.sweep.sweep` *do* merge their workers' per-task
-deltas back into the coordinator.
+fast paths.  Every update takes one lock, so threads (the verification
+service's scheduler and request handlers) never lose counts.  Counters
+from worker processes spawned directly (e.g. ``compile_lts(workers=N)``)
+are *not* aggregated — only the coordinating process records; sweeps
+routed through :func:`repro.perf.sweep.sweep` *do* merge their workers'
+per-task deltas back into the coordinator.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Mapping, Optional, Tuple
@@ -63,11 +71,13 @@ class PerfCounters:
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
         self._times: Dict[str, float] = {}
+        self._lock = threading.Lock()
 
     # -- counters -----------------------------------------------------------
 
     def incr(self, name: str, n: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + n
+        with self._lock:
+            self._counts[name] = self._counts.get(name, 0) + n
 
     def merge(self, counters: Mapping[str, int], prefix: str = "") -> None:
         """Fold a dict of locally-accumulated counters into the registry.
@@ -77,9 +87,12 @@ class PerfCounters:
         """
         if prefix and not prefix.endswith("."):
             prefix += "."
-        for name, n in counters.items():
-            if n:
-                self.incr(prefix + name, n)
+        with self._lock:
+            counts = self._counts
+            for name, n in counters.items():
+                if n:
+                    key = prefix + name
+                    counts[key] = counts.get(key, 0) + n
 
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)
@@ -88,7 +101,8 @@ class PerfCounters:
 
     def add_time(self, phase: str, seconds: float) -> None:
         key = "time." + phase
-        self._times[key] = self._times.get(key, 0.0) + seconds
+        with self._lock:
+            self._times[key] = self._times.get(key, 0.0) + seconds
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -105,37 +119,45 @@ class PerfCounters:
 
     def snapshot(self) -> Dict[str, object]:
         """A copy of every counter and phase time (JSON-serializable)."""
-        out: Dict[str, object] = dict(self._counts)
-        out.update({k: round(v, 6) for k, v in self._times.items()})
+        with self._lock:
+            out: Dict[str, object] = dict(self._counts)
+            times = dict(self._times)
+        out.update({k: round(v, 6) for k, v in times.items()})
         return out
 
     def dump(self) -> "Tuple[Dict[str, float], Dict[str, float]]":
         """Exact internal state, for :meth:`restore` — unlike
         :meth:`snapshot` nothing is rounded or flattened."""
-        return (dict(self._counts), dict(self._times))
+        with self._lock:
+            return (dict(self._counts), dict(self._times))
 
     def restore(self, state: "Tuple[Dict[str, float], Dict[str, float]]") -> None:
         """Reinstate a state captured by :meth:`dump` (the sweep executor
         uses the pair to isolate each sequential task's counters)."""
         counts, times = state
-        self._counts = dict(counts)
-        self._times = dict(times)
+        with self._lock:
+            self._counts = dict(counts)
+            self._times = dict(times)
 
     def reset(self, prefix: Optional[str] = None) -> None:
         """Zero all counters, or only those under ``prefix``."""
-        if prefix is None:
-            self._counts.clear()
-            self._times.clear()
-            return
-        for d in (self._counts, self._times):
-            for key in [k for k in d if k.startswith(prefix)]:
-                del d[key]
+        with self._lock:
+            if prefix is None:
+                self._counts.clear()
+                self._times.clear()
+                return
+            for d in (self._counts, self._times):
+                for key in [k for k in d if k.startswith(prefix)]:
+                    del d[key]
 
     def render(self) -> str:
         lines = []
         for key in sorted(self.snapshot()):
             lines.append("{} = {}".format(key, self.snapshot()[key]))
         return "\n".join(lines)
+
+    def _new_lock(self) -> None:
+        self._lock = threading.Lock()
 
     def __repr__(self) -> str:
         return "PerfCounters({} counters, {} phases)".format(
@@ -145,3 +167,7 @@ class PerfCounters:
 
 #: The process-global registry.
 PERF = PerfCounters()
+
+if hasattr(os, "register_at_fork"):
+    # a forked worker must not inherit the lock held by another thread
+    os.register_at_fork(after_in_child=PERF._new_lock)

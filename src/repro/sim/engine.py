@@ -139,11 +139,13 @@ class Reactor:
         :func:`repro.sim.plan.shared_plan`), to share compilation across
         reactors.
     specialize:
-        When ``True``, compile the plan to generated straight-line Python
-        (:class:`repro.sim.specialize.SpecializedPlan`) — observationally
-        identical, several times faster.  Overridden by the
-        ``REPRO_NO_SPECIALIZE=1`` environment variable.  Ignored when an
-        explicit ``plan`` is passed or ``compiled`` is ``False``.
+        When ``True``, execute through the process-wide cached
+        specialized plan (:func:`repro.sim.plan.shared_plan`, a
+        :class:`repro.sim.specialize.SpecializedPlan` of generated
+        straight-line Python) — observationally identical, several times
+        faster.  Overridden by the ``REPRO_NO_SPECIALIZE=1`` environment
+        variable.  Ignored when an explicit ``plan`` is passed or
+        ``compiled`` is ``False``.
     """
 
     def __init__(
@@ -175,13 +177,12 @@ class Reactor:
                 raise SimulationError("plan was compiled for another component")
             self._plan = plan
         elif compiled:
-            from repro.sim.plan import ReactionPlan
-            from repro.sim.specialize import specialization_enabled
+            from repro.sim.plan import ReactionPlan, shared_plan
 
-            if specialize and specialization_enabled(True):
-                from repro.sim.specialize import SpecializedPlan
-
-                self._plan = SpecializedPlan(component)
+            if specialize:
+                # the one way to a specialized plan: the shared cache
+                # (which also applies the REPRO_NO_SPECIALIZE gate)
+                self._plan = shared_plan(component, specialize=True)
             else:
                 self._plan = ReactionPlan(component)
         if self._plan is not None:

@@ -14,7 +14,7 @@ import pytest
 from repro import designs
 from repro.errors import SimulationError
 from repro.lang.analysis import flatten_program
-from repro.lang.ast import App, Component, Equation, Program, Var
+from repro.lang.ast import App, Component, Const, Equation, Program, Var
 from repro.lang.types import EVENT, INT
 from repro.perf import PERF
 from repro.sim import Reactor, simulate, simulate_batch, stimuli
@@ -507,3 +507,265 @@ class TestBatchedSoaks:
             batched_recovery_sweep(prog, rspecs, horizon=20.0)
             == recovery_sweep(prog, rspecs, horizon=20.0).values()
         )
+
+
+# -- compact codegen ----------------------------------------------------------
+
+
+def _instrumented(design, capacity):
+    from repro.desync.transform import desynchronize
+
+    deployment = desynchronize(design, capacities=capacity, instrument=True)
+    return flatten_program(deployment.program)
+
+
+def _jittered_rows(inputs, seed, n):
+    """The estimator's environment shape: activations every other
+    instant, read requests every instant, deferred at random."""
+    import itertools
+
+    from repro.faults.soak import jittered_stimulus
+
+    parts = [
+        stimuli.periodic(name, 1 if name.endswith("_rreq") else 2)
+        for name in inputs
+    ]
+    return list(itertools.islice(
+        jittered_stimulus(stimuli.merge(*parts), 0.25, seed), n
+    ))
+
+
+def _react_all(reactor, rows):
+    """Outputs and state per instant, ending at the first rejection."""
+    out = []
+    try:
+        for row in rows:
+            out.append(reactor.react(row))
+            out.append(reactor.state())
+    except SimulationError as exc:
+        out.append(("rejected", type(exc).__name__, str(exc)))
+    return repr(out)
+
+
+def _three_ways(comp, rows):
+    """Interpreter, closure plan and a fresh specialized plan."""
+    return [
+        _react_all(Reactor(comp, check=False, compiled=False), rows),
+        _react_all(Reactor(comp, check=False), rows),
+        _react_all(Reactor(comp, check=False, plan=SpecializedPlan(comp)), rows),
+    ]
+
+
+# plan.source bytes of the instrumented deployments as generated before
+# compact emission (commit 78f12a8: one unrolled guard block per
+# assignment and requeue, each default's right branch emitted twice);
+# each must now be at most half that
+_PARENT_SOURCE_BYTES = {
+    ("producer_consumer", 1): 189875,
+    ("producer_consumer", 3): 256289,
+    ("producer_consumer", 6): 369319,
+    ("pipeline", 1): 562328,
+    ("pipeline", 3): 765586,
+    ("pipeline", 6): 1113939,
+    ("fan_out", 1): 377757,
+    ("fan_out", 3): 513302,
+    ("fan_out", 6): 744998,
+    ("request_response", 1): 374822,
+    ("request_response", 3): 509720,
+    ("request_response", 6): 740589,
+}
+
+_BUDGET_DESIGNS = {
+    "producer_consumer": designs.producer_consumer,
+    "pipeline": lambda: designs.pipeline(stages=3),
+    "fan_out": designs.fan_out,
+    "request_response": designs.request_response,
+}
+
+
+class TestCompactCodegen:
+    def test_source_size_budget(self):
+        total = parent_total = 0
+        for (name, cap), parent in sorted(_PARENT_SOURCE_BYTES.items()):
+            plan = SpecializedPlan(_instrumented(_BUDGET_DESIGNS[name](), cap))
+            assert plan.fallback_steps == 0, (name, cap)
+            size = len(plan.source)
+            assert 2 * size <= parent, (name, cap, size, parent)
+            total += size
+            parent_total += parent
+        assert 2 * total <= parent_total
+
+    def test_codegen_counters(self):
+        comp = flatten_program(designs.producer_consumer())
+        before = (
+            PERF.get("plan.codegen_plans"),
+            PERF.get("plan.codegen_bytes"),
+            PERF.get_time("plan.codegen"),
+        )
+        plan = SpecializedPlan(comp)
+        assert PERF.get("plan.codegen_plans") == before[0] + 1
+        assert PERF.get("plan.codegen_bytes") == before[1] + len(plan.source)
+        assert PERF.get_time("plan.codegen") > before[2]
+        # deterministic: the same component generates the same source
+        assert SpecializedPlan(comp).source == plan.source
+
+    def test_reactor_specialize_goes_through_shared_cache(self):
+        clear_plan_cache()
+        try:
+            a = Reactor(flatten_program(designs.producer_consumer()),
+                        specialize=True)
+            b = Reactor(flatten_program(designs.producer_consumer()),
+                        specialize=True)
+            assert a.plan is b.plan
+            comp = flatten_program(designs.producer_consumer())
+            assert a.plan is shared_plan(comp, specialize=True)
+            assert plan_cache_stats()["size"] == 1
+        finally:
+            clear_plan_cache()
+
+
+class TestEstimatorDeployments:
+    """The instrumented deployments the Sec. 5.2 loop simulates: the
+    interpreter, the closure plan and the specialized plan agree byte
+    for byte on outputs, state trajectories and rejections."""
+
+    def test_instrumented_deployments_byte_identical(self):
+        checked = 0
+        for name, design in _corpus():
+            if not isinstance(design, Program):
+                continue
+            for cap in range(1, 7):
+                comp = _instrumented(design, cap)
+                rows = _jittered_rows(sorted(comp.inputs), cap, 16)
+                ref, plan_out, spec_out = _three_ways(comp, rows)
+                assert "rejected" not in ref, (name, cap)
+                assert plan_out == ref, (name, cap)
+                assert spec_out == ref, (name, cap)
+                checked += 1
+        assert checked >= 6 * 9
+
+    def test_clock_contradiction_text(self):
+        from repro.sim.engine import ABSENT
+
+        # an input that is also defined: present, but its definition is
+        # absent with its operand
+        comp = Component(
+            "ClockClash", {"a": INT, "b": INT}, {"y": INT}, {},
+            [Equation("a", App("+", (Var("b"), Const(1)))),
+             Equation("y", Var("a"))],
+        )
+        ref, plan_out, spec_out = _three_ways(
+            comp, [{"a": 3, "b": 2}, {"a": 1, "b": ABSENT}]
+        )
+        assert "clock contradiction on 'a': P vs A" in ref
+        assert plan_out == ref
+        assert spec_out == ref
+
+    def test_value_contradiction_text(self):
+        comp = Component(
+            "ValueClash", {"a": INT, "b": INT}, {"y": INT}, {},
+            [Equation("a", App("+", (Var("b"), Const(1)))),
+             Equation("y", Var("a"))],
+        )
+        ref, plan_out, spec_out = _three_ways(
+            comp, [{"a": 3, "b": 2}, {"a": 1, "b": 2}]
+        )
+        assert "value contradiction on 'a': 1 vs 3" in ref
+        assert plan_out == ref
+        assert spec_out == ref
+
+
+def _random_component(rng):
+    """A small component with locals, forward references and
+    synchronization constraints — shapes the typed property strategies
+    do not draw (backward forces, residual passes, sync steps)."""
+    from repro.lang.ast import ClockOf, Const, Default, Pre, SyncConstraint, When
+    from repro.lang.types import BOOL
+
+    inputs = {"a": INT, "b": BOOL, "c": EVENT, "d": INT}
+    names = ["x{}".format(i) for i in range(rng.randint(2, 6))]
+    types = {n: rng.choice([INT, BOOL]) for n in names}
+    env = dict(inputs, **types)
+
+    def expr(ty, depth):
+        if depth <= 0 or rng.random() < 0.25:
+            if rng.random() < 0.2:
+                return Const(rng.randint(-2, 3) if ty is INT else rng.random() < 0.5)
+            return Var(rng.choice([
+                n for n, t in env.items()
+                if t is ty or (ty is BOOL and t is EVENT)
+            ]))
+        pick = rng.randrange(6)
+        if pick == 0:
+            inner = expr(ty, depth - 1)
+            if isinstance(inner, Const):
+                inner = Var(rng.choice([n for n, t in env.items() if t is ty]))
+            return Pre(rng.randint(0, 2) if ty is INT else False, inner)
+        if pick == 1:
+            return When(expr(ty, depth - 1), expr(BOOL, depth - 1))
+        if pick == 2:
+            return Default(expr(ty, depth - 1), expr(ty, depth - 1))
+        if ty is BOOL:
+            if pick == 3:
+                return ClockOf(Var(rng.choice(sorted(env))))
+            if pick == 4:
+                return App("not", (expr(BOOL, depth - 1),))
+            if rng.random() < 0.5:
+                return App(rng.choice(["==", "<", ">="]),
+                           (expr(INT, depth - 1), expr(INT, depth - 1)))
+            return App(rng.choice(["and", "or", "xor"]),
+                       (expr(BOOL, depth - 1), expr(BOOL, depth - 1)))
+        if pick == 3:
+            return App("neg", (expr(INT, depth - 1),))
+        op = rng.choice(["+", "-", "*", "min", "max", "mod"])
+        right = Const(rng.randint(1, 4)) if op == "mod" else expr(INT, depth - 1)
+        return App(op, (expr(INT, depth - 1), right))
+
+    statements = [Equation(n, expr(types[n], rng.randint(1, 4))) for n in names]
+    for _ in range(rng.randint(0, 3)):
+        members = rng.sample(sorted(env), rng.randint(2, 3))
+        statements.append(SyncConstraint(tuple(members)))
+    half = max(1, len(names) // 2)
+    return Component(
+        "R", inputs, {n: types[n] for n in names[:half]},
+        {n: types[n] for n in names[half:]}, statements,
+    )
+
+
+def test_random_components_plan_and_specialized_agree():
+    """Closure plan vs specialized plan on random components with
+    locals, forward references and synchronization constraints: same
+    outputs, state trajectories and rejection text."""
+    import random
+
+    from repro.sim.engine import ABSENT
+
+    compared = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        comp = _random_component(rng)
+        try:
+            plan = ReactionPlan(comp)
+        except SimulationError:
+            continue
+        spec = SpecializedPlan(comp)
+        for _ in range(2):
+            rows = []
+            for _ in range(10):
+                row = {}
+                for name, ty in comp.inputs.items():
+                    r = rng.random()
+                    if r < 0.2:
+                        row[name] = ABSENT
+                    elif r < 0.25:
+                        continue
+                    elif ty is INT:
+                        row[name] = rng.randint(-3, 5)
+                    else:
+                        row[name] = ty is EVENT or rng.random() < 0.5
+                rows.append(row)
+            expected = _react_all(Reactor(comp, check=False, plan=plan), rows)
+            got = _react_all(Reactor(comp, check=False, plan=spec), rows)
+            assert got == expected, (seed, comp)
+            compared += 1
+    assert compared >= 500
