@@ -19,14 +19,18 @@ bench:
 	cd benchmarks && PYTHONPATH=../src $(PYTHON) -m pytest . -q -s
 
 # end-to-end benchmark smoke: the benchmark's own fast tests, then one
-# traced methodology draw whose last output line must report
-# "correct": true (a crash leaves no such line and fails too)
+# traced methodology draw and one traced explore pass, each of whose
+# last output line must report "correct": true (a crash leaves no such
+# line and fails too)
 perfbench-smoke:
 	$(PYTHON) -m pytest perfbench/tests -q -m "not slow"
-	$(PYTHON) perfbench/run.py --workload methodology --seed 7 --seconds 1 \
-		--trace 1 | $(PYTHON) -c 'import json, sys; \
+	for workload in methodology explore; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 7 --seconds 1 \
+			--trace 1 | $(PYTHON) -c 'import json, sys; \
 	lines = [l for l in sys.stdin.read().splitlines() if l.strip()]; \
-	sys.exit(0 if lines and json.loads(lines[-1]).get("correct") is True else 1)'
+	sys.exit(0 if lines and json.loads(lines[-1]).get("correct") is True else 1)' \
+			|| exit 1; \
+	done
 
 # reduced-parameter smoke sweep of the parameterized experiments
 # (A3 state-space scaling, F4 buffer estimation, A8 symbolic-image

@@ -13,8 +13,9 @@ A second section ablates the *simulation* substrate on the same design:
 the reference interpreter vs the compiled closure plan vs the
 specialized generated-code plan (``repro.sim.specialize``), reactions
 per second on the desynchronized network.  The specialized plan is the
-default hot path everywhere (soaks, sweeps, the estimator), so this is
-the speedup those harnesses inherit per lane.
+default hot path everywhere (soaks, sweeps, the estimator, and the
+explicit exploration timed above), so this is the speedup those
+harnesses inherit per lane.
 
 ``BENCH_QUICK=1`` restricts the sweep to small parameters (smoke mode).
 """

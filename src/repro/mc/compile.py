@@ -9,6 +9,11 @@ Finite-state designs only: value-carrying state must stay in a finite
 range (e.g. modular counters); the compiler aborts past ``max_states``
 otherwise.
 
+Exploration runs on the process-wide cached reaction plan
+(:func:`repro.sim.plan.shared_plan`): the specialized generated-code plan
+unless ``REPRO_NO_SPECIALIZE`` is set, compiled once per design and
+shared with every later call, the estimator and the batch lanes.
+
 Two performance levers (both off by default):
 
 - ``memo=``: a :class:`ReactionMemo` caches reaction outcomes keyed by
@@ -34,9 +39,11 @@ from repro.errors import NonDeterministicClockError, SimulationError, Verificati
 from repro.lang.analysis import flatten_program
 from repro.lang.ast import Component, Program
 from repro.lang.types import BOOL, EVENT, INT
+from repro.lang.typecheck import check_component
 from repro.perf import PERF
-from repro.sim.engine import ABSENT, Reactor
-from repro.mc.lts import LTS, freeze_letter, freeze_outputs
+from repro.sim.engine import ABSENT
+from repro.sim.plan import shared_plan
+from repro.mc.lts import LTS, freeze_letter
 
 
 def input_alphabet(
@@ -123,17 +130,6 @@ class ReactionMemo:
         )
 
 
-def _react_outcome(plan, reactor, letter, state, oracle, instant_index, interface):
-    """Execute one reaction from ``state``; outcome in memo format."""
-    if plan is not None:
-        return plan.react_frozen(letter, state, oracle, instant_index, ABSENT)
-    reactor.set_state(list(state))
-    outputs = reactor.react(letter)
-    new_state = reactor.state()
-    visible = {k: v for k, v in outputs.items() if k in interface}
-    return freeze_outputs(visible), tuple(new_state)
-
-
 def compile_lts(
     design,
     alphabet: Optional[List[Dict[str, object]]] = None,
@@ -217,13 +213,28 @@ def compile_lts(
     return lts
 
 
+def _plan_and_initial(comp):
+    """Type-check ``comp``; its shared plan and initial memory."""
+    check_component(comp)
+    plan = shared_plan(comp)
+    return plan, tuple(node.init for node in plan.pre_nodes)
+
+
+def _record_plan_work(lts: LTS, plan, delta: Mapping[str, int]) -> None:
+    """Put one exploration's executor counters into ``lts.stats`` and
+    :data:`PERF` (under ``mc.<plan kind>.*``, as ``simulate()`` uses
+    ``sim.<plan kind>.*``)."""
+    lts.stats.update(delta)
+    PERF.merge(delta, prefix="mc." + plan.kind)
+
+
 def _compile_sequential(comp, alphabet, max_states, oracle, memo) -> LTS:
-    reactor = Reactor(comp, oracle=oracle)
-    plan = reactor.plan
-    interface = frozenset(comp.inputs) | frozenset(comp.outputs)
+    plan, initial = _plan_and_initial(comp)
+    base = plan.counters_snapshot()
+    react = plan.react_frozen
     letters = [(letter, freeze_letter(letter)) for letter in alphabet]
     table = memo.table if memo is not None else None
-    lts = LTS(reactor.state())
+    lts = LTS(initial)
     frontier = [lts.initial]
     explored = set()
     reactions = 0
@@ -244,9 +255,7 @@ def _compile_sequential(comp, alphabet, max_states, oracle, memo) -> LTS:
             if outcome is _MISS:
                 reactions += 1
                 try:
-                    outcome = _react_outcome(
-                        plan, reactor, letter, state, oracle, instant, interface
-                    )
+                    outcome = react(letter, state, oracle, instant, ABSENT)
                 except NonDeterministicClockError as exc:
                     raise VerificationError(
                         "design has free clocks; fix them or supply an oracle: "
@@ -279,8 +288,7 @@ def _compile_sequential(comp, alphabet, max_states, oracle, memo) -> LTS:
                     "state space exceeds {} states; "
                     "is the design finite-state?".format(max_states)
                 )
-    if plan is not None:
-        lts.stats.update(plan.counters_snapshot())
+    _record_plan_work(lts, plan, plan.counters_since(base))
     lts.stats["reactions"] = reactions
     lts.stats["memo_hits"] = hits
     lts.stats["memo_misses"] = reactions if memo is not None else 0
@@ -298,10 +306,11 @@ _MISS = _Miss()
 # -- parallel frontier expansion ---------------------------------------------
 #
 # Level-synchronous BFS: the unexplored frontier is chunked across worker
-# processes; each worker owns a Reactor built once per process from the
-# pickled component and returns reaction outcomes for its chunk, which the
-# coordinator folds into the LTS in submission order (making the result
-# deterministic for a given chunking).
+# processes; each worker takes the shared plan once per process (a forked
+# worker inherits the coordinator's compiled plan from the cache) and
+# returns reaction outcomes for its chunk plus the chunk's executor
+# counters, which the coordinator folds into the LTS in submission order
+# (making the result deterministic for a given chunking).
 
 _W_PLAN = None
 _W_LETTERS = None
@@ -309,15 +318,16 @@ _W_LETTERS = None
 
 def _worker_init(comp, alphabet):
     global _W_PLAN, _W_LETTERS
-    reactor = Reactor(comp, check=False)
-    _W_PLAN = reactor.plan
+    _W_PLAN = shared_plan(comp)
     _W_LETTERS = list(alphabet)
 
 
 def _worker_expand(states):
-    """Outcomes for every (state, letter) of a chunk of frontier states."""
+    """Outcomes for every (state, letter) of a chunk of frontier states,
+    and the executor counters the chunk cost."""
     out = []
     plan = _W_PLAN
+    base = plan.counters_snapshot()
     for state in states:
         row = []
         for letter in _W_LETTERS:
@@ -328,7 +338,7 @@ def _worker_expand(states):
             except SimulationError:
                 row.append(None)
         out.append(row)
-    return out
+    return out, plan.counters_since(base)
 
 
 def _compile_parallel(comp, alphabet, max_states, memo, workers) -> LTS:
@@ -336,8 +346,11 @@ def _compile_parallel(comp, alphabet, max_states, memo, workers) -> LTS:
 
     letters = [(letter, freeze_letter(letter)) for letter in alphabet]
     table = memo.table if memo is not None else None
-    reactor = Reactor(comp)  # validates the design in-process first
-    lts = LTS(reactor.state())
+    # validates the design in-process first, and fills the plan cache
+    # that forked workers inherit
+    plan, initial = _plan_and_initial(comp)
+    work: Dict[str, int] = {}
+    lts = LTS(initial)
     explored = set()
     frontier = [lts.initial]
     reactions = 0
@@ -376,7 +389,10 @@ def _compile_parallel(comp, alphabet, max_states, memo, workers) -> LTS:
                 for chunk in chunks
             ]
             for chunk, fut in zip(chunks, futures):
-                for sid, row in zip(chunk, fut.result()):
+                rows, delta = fut.result()
+                for key, value in delta.items():
+                    work[key] = work.get(key, 0) + value
+                for sid, row in zip(chunk, rows):
                     reactions += len(row)
                     outcomes[sid] = row
                     if table is not None:
@@ -405,6 +421,7 @@ def _compile_parallel(comp, alphabet, max_states, memo, workers) -> LTS:
                             "state space exceeds {} states; "
                             "is the design finite-state?".format(max_states)
                         )
+    _record_plan_work(lts, plan, work)
     lts.stats["reactions"] = reactions
     lts.stats["memo_hits"] = hits
     lts.stats["memo_misses"] = reactions if memo is not None else 0

@@ -581,9 +581,14 @@ class SymbolicChecker:
 
     def check_never_present(self, signal: str) -> Optional[CounterExample]:
         """The Section 5.2 obligation, symbolically, with a counterexample
-        input sequence reconstructed from the reachability rings."""
+        input sequence reconstructed from the reachability rings.
+
+        One relational product over the whole reachable set (the union
+        of the rings) settles a holding obligation; only a refuted one
+        walks the rings for the earliest bad one and its stem."""
         bad = self.presence(signal)
-        self.reachable_states()
+        if not self.reachable(bad):
+            return None
         bdd = self.bdd
         # The reconstruction only reads input presences/values and the
         # current memory out of each satisfying assignment, so everything

@@ -26,7 +26,10 @@ counters and wall-time phases so benchmark deltas are attributable:
   volume), ``batch.memo_hits`` (reactions shared across lanes by the
   run-wide ``(state, inputs)`` memo) and ``batch.vector_runs``;
 - ``mc.reactions`` / ``mc.memo_hits`` / ``mc.memo_misses`` — explicit
-  model-checker work and reaction-memo effectiveness;
+  model-checker work and reaction-memo effectiveness, with
+  ``mc.<kind>.*`` the executor counters of the shared plan
+  :func:`repro.mc.compile_lts` explores on (including its worker
+  processes' when ``workers=N``);
 - ``bdd.apply_hits`` / ``bdd.apply_misses`` / ``bdd.cache_clears`` /
   ``bdd.gc_collections`` / ``bdd.gc_reclaimed`` / ``bdd.sift_passes`` /
   ``bdd.sift_swaps`` — cache, garbage-collection and dynamic-reordering
@@ -49,11 +52,10 @@ counters and wall-time phases so benchmark deltas are attributable:
 Hot loops keep their own local integers and merge once per call
 (:meth:`PerfCounters.merge`), so instrumentation stays off the per-node
 fast paths.  Every update takes one lock, so threads (the verification
-service's scheduler and request handlers) never lose counts.  Counters
-from worker processes spawned directly (e.g. ``compile_lts(workers=N)``)
-are *not* aggregated — only the coordinating process records; sweeps
-routed through :func:`repro.perf.sweep.sweep` *do* merge their workers'
-per-task deltas back into the coordinator.
+service's scheduler and request handlers) never lose counts.  Work done
+in worker processes is merged back into the coordinator: per-task
+deltas by :func:`repro.perf.sweep.sweep`, per-chunk executor counters by
+``compile_lts(workers=N)``.
 """
 
 from __future__ import annotations

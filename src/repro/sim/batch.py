@@ -396,10 +396,7 @@ def simulate_batch(
     elapsed = time.perf_counter() - start
 
     total = sum(lane.count for lane in lanes)
-    delta = {
-        key: value - base.get(key, 0)
-        for key, value in plan.counters_snapshot().items()
-    }
+    delta = plan.counters_since(base)
     PERF.merge(delta, prefix="batch." + plan.kind)
     PERF.incr("batch.runs")
     PERF.incr("batch.lanes", len(lanes))

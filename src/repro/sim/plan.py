@@ -759,6 +759,14 @@ class ReactionPlan:
     def counters_snapshot(self) -> Dict[str, int]:
         return dict(self.counters)
 
+    def counters_since(self, base: Mapping[str, int]) -> Dict[str, int]:
+        """The counters accrued since the snapshot ``base`` — a cached
+        plan's counters are cumulative over every caller, so each caller
+        attributes its work by difference."""
+        return {
+            key: value - base.get(key, 0) for key, value in self.counters.items()
+        }
+
     def __repr__(self) -> str:
         return "ReactionPlan({!r}: {} signals, {} steps, {} registers)".format(
             self.component.name, self.n_signals, len(self.steps), len(self.pre_nodes)

@@ -43,10 +43,7 @@ def simulate(
     trace.stats["instants"] = len(trace)
     trace.stats["elapsed"] = elapsed
     if base is not None:
-        delta = {
-            key: value - base.get(key, 0)
-            for key, value in plan.counters_snapshot().items()
-        }
+        delta = plan.counters_since(base)
         trace.stats.update(delta)
         # attribution: sim.plan.* for closure plans, sim.plan.spec.* for
         # specialized ones — so bench deltas name the path that produced them
