@@ -42,10 +42,9 @@ bench-quick:
 		bench_a8_symbolic_image.py -q -s
 
 # batched soak-lane execution benchmark (experiment A11): sequential
-# per-lane reactors vs simulate_batch (shared specialized plan + lane
-# memo, plus the unspecialized cross-lane vector tier), byte-identity
-# asserted per cell; writes benchmarks/out/A11_batched_soak.txt and
-# BENCH_A11_batched_soak.json
+# per-lane reactors vs simulate_batch (one shared cached plan + lane
+# memo), byte-identity asserted per cell; writes
+# benchmarks/out/A11_batched_soak.txt and BENCH_A11_batched_soak.json
 bench-a11:
 	cd benchmarks && BENCH_QUICK=1 PYTHONPATH=../src $(PYTHON) -m pytest \
 		bench_a11_batched_soak.py -q -s

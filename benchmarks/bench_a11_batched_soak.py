@@ -3,18 +3,16 @@
 A soak campaign is many near-identical runs of one design: the same base
 schedule with per-lane fault/jitter perturbation ("validate many flows,
 not one").  This bench measures the wall-time of running N such lanes on
-the desynchronized producer-consumer pair three ways:
+the desynchronized producer-consumer pair two ways:
 
 - ``sequential``: the pre-batching idiom — one unspecialized
   :class:`~repro.sim.Reactor` per lane, reacted row by row (the
   baseline every speedup is quoted against);
 - ``batch``: :func:`~repro.sim.batch.simulate_batch` in its default
-  configuration — one shared *specialized* plan, lane-array recording,
+  configuration — one shared cached plan (closures until it has run
+  enough reactions to pay for generated code), per-lane row recording,
   and the run-wide reaction memo that shares work across lanes reaching
-  the same ``(state, inputs)`` pair;
-- ``vector``: the same batch forced onto the unspecialized tier, where
-  the cross-lane numpy executor (:mod:`repro.sim.vector`) evaluates all
-  lanes in one sweep per instant.
+  the same ``(state, inputs)`` pair.
 
 Every cell asserts the batched trace is byte-identical to the
 sequential trace, lane by lane — the speedup must come from
@@ -30,7 +28,7 @@ from repro.desync import desynchronize
 from repro.faults.soak import jittered_stimulus
 from repro.lang.analysis import flatten_program
 from repro.sim import Reactor
-from repro.sim.batch import numpy_available, simulate_batch
+from repro.sim.batch import simulate_batch
 
 from _report import emit, quick, table
 
@@ -78,16 +76,9 @@ def _cell(comp, n_lanes, rate):
     report = simulate_batch(comp, [iter(rows) for rows in lanes])
     t_batch = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    unspec = simulate_batch(
-        comp, [iter(rows) for rows in lanes], specialize=False
-    )
-    t_vec = time.perf_counter() - t0
-
     for k in range(n_lanes):
         ref = repr(sequential[k])
         assert repr(report.traces[k].instants) == ref, (n_lanes, rate, k)
-        assert repr(unspec.traces[k].instants) == ref, (n_lanes, rate, k)
 
     instants = n_lanes * HORIZON
     return {
@@ -96,12 +87,8 @@ def _cell(comp, n_lanes, rate):
         "instants": instants,
         "sequential_s": t_seq,
         "batch_s": t_batch,
-        "batch_mode": report.stats["mode"],
         "batch_memo_hits": report.stats["memo_hits"],
         "batch_speedup": t_seq / t_batch if t_batch else 0.0,
-        "unspec_batch_s": t_vec,
-        "unspec_batch_mode": unspec.stats["mode"],
-        "unspec_batch_speedup": t_seq / t_vec if t_vec else 0.0,
     }
 
 
@@ -119,15 +106,13 @@ def test_a11_batched_soak(benchmark):
         )
         + table(
             ["lanes", "jitter", "sequential (s)", "batch (s)", "speedup",
-             "mode", "memo hits", "unspec batch (s)", "unspec mode"],
+             "memo hits"],
             [
                 (r["lanes"], r["rate"],
                  "{:.3f}".format(r["sequential_s"]),
                  "{:.3f}".format(r["batch_s"]),
                  "{:.1f}x".format(r["batch_speedup"]),
-                 r["batch_mode"], r["batch_memo_hits"],
-                 "{:.3f}".format(r["unspec_batch_s"]),
-                 r["unspec_batch_mode"])
+                 r["batch_memo_hits"])
                 for r in records
             ],
         ),
@@ -138,8 +123,5 @@ def test_a11_batched_soak(benchmark):
         # workload every multi-lane cell must share most reactions
         if r["lanes"] >= 16:
             assert r["batch_memo_hits"] > r["instants"] // 2, r
-        # the unspecialized tier takes the cross-lane vector executor
-        if r["lanes"] >= 16 and numpy_available():
-            assert r["unspec_batch_mode"] == "vector", r
         if r["lanes"] == 64:
             assert r["batch_speedup"] >= FLOOR_64, r

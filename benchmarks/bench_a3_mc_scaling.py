@@ -12,10 +12,11 @@ a value dimension) and polynomially with the datapath modulus.
 A second section ablates the *simulation* substrate on the same design:
 the reference interpreter vs the compiled closure plan vs the
 specialized generated-code plan (``repro.sim.specialize``), reactions
-per second on the desynchronized network.  The specialized plan is the
-default hot path everywhere (soaks, sweeps, the estimator, and the
-explicit exploration timed above), so this is the speedup those
-harnesses inherit per lane.
+per second on the desynchronized network.  Every cached plan (soaks,
+sweeps, the estimator, and the explicit exploration timed above) runs
+on closures and switches to generated code once it has run enough
+reactions to pay for it, so these are the per-reaction rates of its two
+tiers.
 
 ``BENCH_QUICK=1`` restricts the sweep to small parameters (smoke mode).
 """

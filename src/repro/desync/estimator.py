@@ -108,8 +108,8 @@ class DesignCache:
         reactor = entry[1]
         if reactor is None:
             # the process-wide plan cache makes revisits of a sizes vector
-            # (and rebuilds across DesignCache instances) near-free, and
-            # selects the specialized generated-code path by default
+            # (and rebuilds across DesignCache instances) near-free; a plan
+            # generates code only once it has run enough reactions
             comp = flatten_program(result.program)
             reactor = Reactor(comp, oracle=oracle, plan=shared_plan(comp))
             entry[1] = reactor

@@ -287,8 +287,8 @@ class AsyncNetwork:
         for node in self.nodes:
             # soaks build one fresh network per scenario from the *same*
             # node components; the shared plan cache (keyed by component
-            # content) makes the per-network reactor builds near-free and
-            # picks the specialized fast path unless REPRO_NO_SPECIALIZE
+            # content) makes the per-network reactor builds near-free, and
+            # a node's plan generates code once it is hot
             self._reactors[node.name] = Reactor(
                 node.component, plan=shared_plan(node.component)
             )

@@ -127,42 +127,68 @@ def instantaneous_cycles(comp: Component) -> List[List[str]]:
     the list of cycles is sorted — the output is byte-stable across runs,
     which diagnostics (``repro lint``) rely on.
     """
-    graph = dependency_graph(comp, instantaneous=True)
+    return canonical_cycles(dependency_graph(comp, instantaneous=True))
+
+
+def canonical_cycles(graph: Mapping[str, FrozenSet[str]]) -> List[List[str]]:
+    """The cycles of ``graph`` (strongly connected components of size > 1,
+    plus self-loops), each a concrete path in rotation-canonical form, in
+    sorted order (see :func:`instantaneous_cycles`)."""
+    return sorted(
+        _canonical_cycle(sorted(scc), graph)
+        for scc in strongly_connected_components(graph)
+        if len(scc) > 1 or scc[0] in graph[scc[0]]
+    )
+
+
+def strongly_connected_components(
+    graph: Mapping[str, FrozenSet[str]]
+) -> List[List[str]]:
+    """Tarjan's strongly connected components of ``graph`` (``node ->
+    successors``; successors that are not keys, such as inputs, end the
+    search), computed without recursion so long chains cannot exhaust the
+    stack.  Each component comes out after every component it reaches.
+    """
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}
     on_stack: Set[str] = set()
     stack: List[str] = []
-    counter = [0]
-    cycles: List[List[str]] = []
-
-    def strongconnect(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        for w in sorted(graph.get(v, ())):
-            if w not in graph:
-                continue  # inputs terminate the search
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            scc = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                scc.append(w)
-                if w == v:
+    out: List[List[str]] = []
+    for root in sorted(graph):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(sorted(graph[root])))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in graph:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(graph[w]))))
                     break
-            if len(scc) > 1 or v in graph.get(v, ()):
-                cycles.append(_canonical_cycle(sorted(scc), graph))
-
-    for node in sorted(graph):
-        if node not in index:
-            strongconnect(node)
-    return sorted(cycles)
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    scc = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        scc.append(w)
+                        if w == v:
+                            break
+                    out.append(scc)
+    return out
 
 
 def check_causality(comp: Component) -> None:

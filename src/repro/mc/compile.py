@@ -10,9 +10,10 @@ range (e.g. modular counters); the compiler aborts past ``max_states``
 otherwise.
 
 Exploration runs on the process-wide cached reaction plan
-(:func:`repro.sim.plan.shared_plan`): the specialized generated-code plan
-unless ``REPRO_NO_SPECIALIZE`` is set, compiled once per design and
-shared with every later call, the estimator and the batch lanes.
+(:func:`repro.sim.plan.shared_plan`), compiled once per design and shared
+with every later call, the estimator and the batch lanes: it runs on
+closures and generates code once it has run enough reactions to pay for
+it (never when ``REPRO_NO_SPECIALIZE`` is set).
 
 Two performance levers (both off by default):
 
@@ -42,7 +43,7 @@ from repro.lang.types import BOOL, EVENT, INT
 from repro.lang.typecheck import check_component
 from repro.perf import PERF
 from repro.sim.engine import ABSENT
-from repro.sim.plan import shared_plan
+from repro.sim.plan import merge_plan_counters, shared_plan
 from repro.mc.lts import LTS, freeze_letter
 
 
@@ -220,12 +221,11 @@ def _plan_and_initial(comp):
     return plan, tuple(node.init for node in plan.pre_nodes)
 
 
-def _record_plan_work(lts: LTS, plan, delta: Mapping[str, int]) -> None:
+def _record_plan_work(lts: LTS, tiers: Mapping[str, Mapping[str, int]]) -> None:
     """Put one exploration's executor counters into ``lts.stats`` and
-    :data:`PERF` (under ``mc.<plan kind>.*``, as ``simulate()`` uses
-    ``sim.<plan kind>.*``)."""
-    lts.stats.update(delta)
-    PERF.merge(delta, prefix="mc." + plan.kind)
+    :data:`PERF` (under ``mc.<plan tier>.*``, as ``simulate()`` uses
+    ``sim.<plan tier>.*``)."""
+    lts.stats.update(merge_plan_counters(tiers, "mc"))
 
 
 def _compile_sequential(comp, alphabet, max_states, oracle, memo) -> LTS:
@@ -288,7 +288,7 @@ def _compile_sequential(comp, alphabet, max_states, oracle, memo) -> LTS:
                     "state space exceeds {} states; "
                     "is the design finite-state?".format(max_states)
                 )
-    _record_plan_work(lts, plan, plan.counters_since(base))
+    _record_plan_work(lts, plan.counters_since(base))
     lts.stats["reactions"] = reactions
     lts.stats["memo_hits"] = hits
     lts.stats["memo_misses"] = reactions if memo is not None else 0
@@ -349,7 +349,7 @@ def _compile_parallel(comp, alphabet, max_states, memo, workers) -> LTS:
     # validates the design in-process first, and fills the plan cache
     # that forked workers inherit
     plan, initial = _plan_and_initial(comp)
-    work: Dict[str, int] = {}
+    work: Dict[str, Dict[str, int]] = {}
     lts = LTS(initial)
     explored = set()
     frontier = [lts.initial]
@@ -389,9 +389,11 @@ def _compile_parallel(comp, alphabet, max_states, memo, workers) -> LTS:
                 for chunk in chunks
             ]
             for chunk, fut in zip(chunks, futures):
-                rows, delta = fut.result()
-                for key, value in delta.items():
-                    work[key] = work.get(key, 0) + value
+                rows, tiers = fut.result()
+                for kind, delta in tiers.items():
+                    acc = work.setdefault(kind, {})
+                    for key, value in delta.items():
+                        acc[key] = acc.get(key, 0) + value
                 for sid, row in zip(chunk, rows):
                     reactions += len(row)
                     outcomes[sid] = row
@@ -421,7 +423,7 @@ def _compile_parallel(comp, alphabet, max_states, memo, workers) -> LTS:
                             "state space exceeds {} states; "
                             "is the design finite-state?".format(max_states)
                         )
-    _record_plan_work(lts, plan, work)
+    _record_plan_work(lts, work)
     lts.stats["reactions"] = reactions
     lts.stats["memo_hits"] = hits
     lts.stats["memo_misses"] = reactions if memo is not None else 0

@@ -4,30 +4,30 @@ checker and the BDD backend.
 A single process-global registry (:data:`PERF`) accumulates named integer
 counters and wall-time phases so benchmark deltas are attributable:
 
-- ``sim.<kind>.reactions`` / ``sim.<kind>.sweeps`` /
-  ``sim.<kind>.residual_passes`` — how many reactions the plan executor
+- ``sim.<tier>.reactions`` / ``sim.<tier>.sweeps`` /
+  ``sim.<tier>.residual_passes`` — how many reactions the plan executor
   ran and how many fixpoint passes each one needed (first pass per
-  propagation is a *sweep*, re-passes triggered by the residual worklist
-  are ``residual_passes``); ``<kind>`` attributes the work to the
-  closure plan (``plan``) or the specialized generated code
-  (``plan.spec``);
+  propagation is a *sweep*, step re-runs triggered by the residual
+  worklist are ``residual_passes``); ``<tier>`` attributes the work to
+  the closure plan (``plan``) or the generated code (``plan.spec``) —
+  a cached plan runs on closures until it is hot, then promotes itself,
+  and each reaction counts under the tier that ran it;
 - ``plan.cache_hits`` / ``plan.cache_misses`` — the process-wide
   compiled-plan cache (:func:`repro.sim.plan.shared_plan`);
 - ``plan.codegen_plans`` / ``plan.codegen_bytes`` and the phase
-  ``time.plan.codegen`` — specialized plans generated, the summed
-  length of their source and the seconds spent emitting and compiling
-  it (:class:`repro.sim.specialize.SpecializedPlan`); the byte count is
-  deterministic for a given set of designs;
-- ``batch.<kind>.*`` — the same executor counters for reactions run
-  through :func:`repro.sim.batch.simulate_batch` (including
-  ``batch.plan.vector_instants``, instants the cross-lane numpy
-  executor of :mod:`repro.sim.vector` solved for all lanes at once),
-  plus ``batch.runs`` / ``batch.lanes`` / ``batch.instants`` (campaign
-  volume), ``batch.memo_hits`` (reactions shared across lanes by the
-  run-wide ``(state, inputs)`` memo) and ``batch.vector_runs``;
+  ``time.plan.codegen`` — plans whose code was generated (promoted once
+  hot, :meth:`repro.sim.plan.ReactionPlan.promote`, or built as a
+  :class:`repro.sim.specialize.SpecializedPlan`), the summed length of
+  their source and the seconds spent emitting and compiling it; the
+  byte count is deterministic for a given set of designs;
+- ``batch.<tier>.*`` — the same executor counters for reactions run
+  through :func:`repro.sim.batch.simulate_batch`, plus ``batch.runs`` /
+  ``batch.lanes`` / ``batch.instants`` (campaign volume) and
+  ``batch.memo_hits`` (reactions shared across lanes by the run-wide
+  ``(state, inputs)`` memo);
 - ``mc.reactions`` / ``mc.memo_hits`` / ``mc.memo_misses`` — explicit
   model-checker work and reaction-memo effectiveness, with
-  ``mc.<kind>.*`` the executor counters of the shared plan
+  ``mc.<tier>.*`` the executor counters of the shared plan
   :func:`repro.mc.compile_lts` explores on (including its worker
   processes' when ``workers=N``);
 - ``bdd.apply_hits`` / ``bdd.apply_misses`` / ``bdd.cache_clears`` /

@@ -140,10 +140,11 @@ class Reactor:
         reactors.
     specialize:
         When ``True``, execute through the process-wide cached
-        specialized plan (:func:`repro.sim.plan.shared_plan`, a
+        specialized plan (``shared_plan(component, specialize=True)``, a
         :class:`repro.sim.specialize.SpecializedPlan` of generated
-        straight-line Python) — observationally identical, several times
-        faster.  Overridden by the ``REPRO_NO_SPECIALIZE=1`` environment
+        straight-line Python, generated now rather than once hot) —
+        observationally identical, several times faster per reaction.
+        Overridden by the ``REPRO_NO_SPECIALIZE=1`` environment
         variable.  Ignored when an explicit ``plan`` is passed or
         ``compiled`` is ``False``.
     """

@@ -11,12 +11,16 @@ component **once** into a static evaluation schedule:
 - every expression node is compiled to a closure over the slots of its
   operands, with builtin functions resolved to their callables ahead of
   time — executing a reaction never touches the AST again;
-- the equations are pre-ordered by the instantaneous-dependency analysis
-  (:func:`repro.lang.analysis.dependency_graph`), so for causal programs
-  the forward/backward fixpoint usually completes in a single near-linear
-  sweep; equations that could not be settled feed a small residual
-  worklist that re-sweeps until quiescence — exactly the interpreter's
-  fixpoint, minus the wasted passes.
+- the equations are pre-ordered by the strongly connected components of
+  the data-flow graph (:func:`repro.lang.analysis.dependency_graph`), so
+  for causal programs the forward/backward fixpoint usually completes in
+  a single near-linear sweep; equations that could not be settled feed a
+  small residual worklist that re-sweeps until quiescence — exactly the
+  interpreter's fixpoint, minus the wasted passes;
+- a plan from the shared cache (:func:`shared_plan`) generates
+  straight-line code for its sweep (:mod:`repro.sim.specialize`) once it
+  has run :data:`PROMOTE_AFTER` reactions, and keeps running on closures
+  until then.
 
 The plan executes the *same* monotone constraint propagation as the
 interpreter (statuses only ever move from unknown to present/absent, all
@@ -30,11 +34,13 @@ via ``Reactor(..., compiled=False)``.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import NonDeterministicClockError, SimulationError
-from repro.lang.analysis import dependency_graph
+from repro.lang.analysis import dependency_graph, strongly_connected_components
 from repro.lang.ast import (
     App,
     ClockOf,
@@ -49,11 +55,18 @@ from repro.lang.ast import (
     When,
 )
 from repro.lang.types import BUILTIN_FUNCTIONS
+from repro.perf import PERF
 
 # presence statuses as small ints (plan-internal; the interpreter uses
 # one-letter strings — keep the rendering in sync for error messages)
 _U, _P, _A, _C = 0, 1, 2, 3
 _ST_NAME = "UPAC"
+
+#: the executor counters every plan keeps per tier
+COUNTERS = ("reactions", "sweeps", "residual_passes")
+
+#: a reaction count no plan reaches: promotion disarmed
+_NEVER = sys.maxsize
 
 
 class _Pending:
@@ -112,9 +125,10 @@ def _set_value(ctx: _Ctx, i: int, v: object, names) -> None:
 class ReactionPlan:
     """A component compiled to a static per-instant evaluation schedule."""
 
-    #: counter-attribution tag: drivers merge this plan's counters into the
-    #: process registry under ``sim.<kind>.*`` (``plan`` here, ``plan.spec``
-    #: for :class:`repro.sim.specialize.SpecializedPlan`)
+    #: counter-attribution tag of the tier the plan runs on: callers merge
+    #: its counters into the process registry under ``sim.<kind>.*`` —
+    #: ``plan`` on closures, ``plan.spec`` once generated code is installed
+    #: (:meth:`promote`)
     kind = "plan"
 
     def __init__(self, component: Component):
@@ -208,13 +222,22 @@ class ReactionPlan:
         self._init_status: List[int] = [_U] * self.n_signals
         self._init_value: List[object] = [_PENDING] * self.n_signals
 
-        # locally-accumulated perf counters; merged into repro.perf.PERF by
-        # the drivers (simulate / compile_lts) once per call
-        self.counters: Dict[str, int] = {
-            "reactions": 0,
-            "sweeps": 0,
-            "residual_passes": 0,
-        }
+        # locally-accumulated perf counters, one dict per tier (the current
+        # tier's is ``counters``); merged into repro.perf.PERF once per call
+        # by simulate / simulate_batch / compile_lts
+        self._tier_counters: Dict[str, Dict[str, int]] = {}
+        self._enter_tier("plan")
+        # generated sweep/advance functions, installed by promote(); a plan
+        # from shared_plan() promotes itself after PROMOTE_AFTER reactions
+        self._sweep_fn: Optional[Callable] = None
+        self._advance_fn: Optional[Callable] = None
+        self._promote_at = _NEVER
+
+    def _enter_tier(self, kind: str) -> None:
+        self.kind = kind
+        self.counters = self._tier_counters.setdefault(
+            kind, dict.fromkeys(COUNTERS, 0)
+        )
 
     # -- schedule construction ----------------------------------------------
 
@@ -222,32 +245,48 @@ class ReactionPlan:
     def _topo_order(component: Component, equations: List[Equation]) -> List[Equation]:
         """Equations sorted so dependencies come first.
 
-        Kahn's algorithm over the *full* data-flow graph (``pre``/clock
+        The order is taken over the *full* data-flow graph (``pre``/clock
         operands included: their presence — though not their value — is
         resolved instantaneously, so scheduling them early settles clocks
-        in one pass).  Cyclic residues (legal presence loops, state
-        feedback) keep their declaration order at the end.
+        in one pass).  That graph is cyclic wherever state feeds back —
+        every ``x := pre x ...`` register is a self-loop — so the unit of
+        scheduling is a strongly connected component: components are
+        placed in Kahn passes over the condensation (each pass visits them
+        by first declaration), members of one component in declaration
+        order.  On an acyclic program every component is one equation and
+        this is plain Kahn order.
         """
         deps = dependency_graph(component, instantaneous=False)
         defined = {eq.target for eq in equations}
-        remaining = list(equations)
+        comp_of: Dict[str, int] = {}
+        for c, scc in enumerate(strongly_connected_components(
+            {t: deps.get(t, frozenset()) & defined for t in defined}
+        )):
+            for t in scc:
+                comp_of[t] = c
+        members: Dict[int, List[Equation]] = {}
+        need: Dict[int, set] = {}
+        for eq in equations:
+            c = comp_of[eq.target]
+            members.setdefault(c, []).append(eq)
+            need.setdefault(c, set()).update(
+                d for d in deps.get(eq.target, ()) if d in defined
+            )
+        for c, eqs in members.items():
+            need[c].difference_update(eq.target for eq in eqs)
+        # the condensation is acyclic: every pass places a component
+        remaining = list(members)  # by first declaration
         placed: set = set(component.inputs)
         out: List[Equation] = []
         while remaining:
-            progress = False
             deferred = []
-            for eq in remaining:
-                need = deps.get(eq.target, frozenset()) & defined
-                if need <= placed:
-                    out.append(eq)
-                    placed.add(eq.target)
-                    progress = True
+            for c in remaining:
+                if need[c] <= placed:
+                    out.extend(members[c])
+                    placed.update(eq.target for eq in members[c])
                 else:
-                    deferred.append(eq)
+                    deferred.append(c)
             remaining = deferred
-            if not progress:
-                out.extend(remaining)  # cyclic residue: declaration order
-                break
         return out
 
     # -- expression compilation ---------------------------------------------
@@ -600,6 +639,8 @@ class ReactionPlan:
         return ctx.status, ctx.value, self._next_state(ctx, state)
 
     def _run(self, inputs, state, oracle, instant_index, absent_marker) -> _Ctx:
+        if self.counters["reactions"] >= self._promote_at:
+            self.promote()
         names = self.names
         ctx = _Ctx(
             self._init_status[:], self._init_value[:], state, len(self.steps)
@@ -623,6 +664,8 @@ class ReactionPlan:
         return ctx
 
     def _next_state(self, ctx: _Ctx, state) -> List[object]:
+        if self._advance_fn is not None:
+            return self._advance_fn(ctx, state)
         new_state = list(state)
         for k, ev, node in self.pre_updaters:
             st, v = ev(ctx)
@@ -638,13 +681,11 @@ class ReactionPlan:
         names = self.names
         n = self.n_signals
         self._propagate(ctx, initial=True)
-        while True:
+        while _U in ctx.status:
             status = ctx.status
             undetermined = tuple(
                 names[i] for i in range(n) if status[i] == _U
             )
-            if not undetermined:
-                break
             if oracle is not None:
                 decisions = oracle(instant_index, undetermined)
                 applied = False
@@ -685,12 +726,19 @@ class ReactionPlan:
             )
 
     def _propagate(self, ctx: _Ctx, initial: bool = False) -> None:
-        """One sweep (on the first call) plus the residual worklist.
+        """One sweep (on the first call; the generated one once the plan
+        is promoted) plus the residual worklist.
 
         The sweep visits every unsettled step once in dependency order;
         afterwards only steps consuming a changed signal re-run, so the
         fixpoint closes in near-linear work for causal programs.
         """
+        if initial and self._sweep_fn is not None:
+            nq = self._sweep_fn(ctx)
+            self.counters["sweeps"] += 1
+            if nq or ctx.dirty:
+                self._residual(ctx, nq)
+            return
         steps = self.steps
         settled = ctx.settled
         dependents = self.dependents
@@ -706,13 +754,14 @@ class ReactionPlan:
             for k, step in enumerate(steps):
                 if not settled[k] and step(ctx):
                     settled[k] = 1
-                if dirty:
-                    while dirty:
-                        i = dirty.pop()
-                        for d in dependents[i]:
-                            if d <= k and not queued[d] and not settled[d]:
-                                queued[d] = 1
-                                nq += 1
+                while dirty:
+                    # dependents are in schedule order
+                    for d in dependents[dirty.pop()]:
+                        if d > k:
+                            break
+                        if not queued[d] and not settled[d]:
+                            queued[d] = 1
+                            nq += 1
             self.counters["sweeps"] += 1
         self._residual(ctx, nq)
 
@@ -720,7 +769,6 @@ class ReactionPlan:
         """The residual worklist: re-run only fact-consumers, in schedule
         order, until quiescence (``nq`` steps are already queued)."""
         steps = self.steps
-        n_steps = len(steps)
         settled = ctx.settled
         dependents = self.dependents
         dirty = ctx.dirty
@@ -735,42 +783,97 @@ class ReactionPlan:
                         nq += 1
             if not nq:
                 break
-            for k in range(n_steps):
-                if not queued[k]:
-                    continue
+            k = queued.find(1)
+            while k >= 0:
                 queued[k] = 0
                 nq -= 1
-                if settled[k]:
-                    continue
-                residual += 1
-                if steps[k](ctx):
-                    settled[k] = 1
-                while dirty:
-                    i = dirty.pop()
-                    for d in dependents[i]:
-                        if not queued[d] and not settled[d]:
-                            queued[d] = 1
-                            nq += 1
+                if not settled[k]:
+                    residual += 1
+                    if steps[k](ctx):
+                        settled[k] = 1
+                    while dirty:
+                        for d in dependents[dirty.pop()]:
+                            if not queued[d] and not settled[d]:
+                                queued[d] = 1
+                                nq += 1
+                k = queued.find(1, k + 1)
         if residual:
             self.counters["residual_passes"] += residual
 
     # -- introspection -------------------------------------------------------
 
-    def counters_snapshot(self) -> Dict[str, int]:
-        return dict(self.counters)
+    def counters_snapshot(self) -> Dict[str, Dict[str, int]]:
+        """A copy of the counters of every tier, keyed by tier kind."""
+        return {kind: dict(c) for kind, c in self._tier_counters.items()}
 
-    def counters_since(self, base: Mapping[str, int]) -> Dict[str, int]:
-        """The counters accrued since the snapshot ``base`` — a cached
-        plan's counters are cumulative over every caller, so each caller
-        attributes its work by difference."""
-        return {
-            key: value - base.get(key, 0) for key, value in self.counters.items()
-        }
+    def counters_since(
+        self, base: Mapping[str, Mapping[str, int]]
+    ) -> Dict[str, Dict[str, int]]:
+        """Per tier, the counters accrued since the snapshot ``base`` (tiers
+        that did no work are left out) — a cached plan's counters are
+        cumulative over every caller, so each caller attributes its work
+        by difference; :func:`merge_plan_counters` records it."""
+        out = {}
+        for kind, counters in self._tier_counters.items():
+            then = base.get(kind, {})
+            delta = {key: value - then.get(key, 0) for key, value in counters.items()}
+            if any(delta.values()):
+                out[kind] = delta
+        return out
+
+    # -- promotion -----------------------------------------------------------
+
+    def promote(self) -> None:
+        """Install generated code for the initial sweep and the register
+        update (:func:`repro.sim.specialize.generate`) in place.
+
+        Later reactions run the generated code and count under the
+        ``plan.spec`` tier; results are unchanged.  Runs once, under the
+        plan-cache lock, however many threads race to it."""
+        from repro.sim.specialize import generate
+
+        with _plan_lock:
+            if self._sweep_fn is not None:
+                return
+            t0 = time.perf_counter()
+            source, sweep_fn, advance_fn, n_inlined = generate(self)
+            PERF.add_time("plan.codegen", time.perf_counter() - t0)
+            PERF.incr("plan.codegen_plans")
+            PERF.incr("plan.codegen_bytes", len(source))
+            self.source = source
+            self.specialized_steps = n_inlined
+            self.fallback_steps = len(self.steps) - n_inlined
+            self._advance_fn = advance_fn
+            self._sweep_fn = sweep_fn
+            self._promote_at = _NEVER
+            self._enter_tier("plan.spec")
 
     def __repr__(self) -> str:
-        return "ReactionPlan({!r}: {} signals, {} steps, {} registers)".format(
-            self.component.name, self.n_signals, len(self.steps), len(self.pre_nodes)
+        inlined = ""
+        if self._sweep_fn is not None:
+            inlined = " [{} inlined]".format(self.specialized_steps)
+        return "{}({!r}: {} signals, {} steps{}, {} registers)".format(
+            type(self).__name__,
+            self.component.name,
+            self.n_signals,
+            len(self.steps),
+            inlined,
+            len(self.pre_nodes),
         )
+
+
+def merge_plan_counters(
+    tiers: Mapping[str, Mapping[str, int]], prefix: str
+) -> Dict[str, int]:
+    """Merge per-tier counter deltas (:meth:`ReactionPlan.counters_since`)
+    into :data:`repro.perf.PERF` under ``<prefix>.<kind>.*`` and return
+    their sum over the tiers — the executor work of one call."""
+    total = dict.fromkeys(COUNTERS, 0)
+    for kind, delta in tiers.items():
+        PERF.merge(delta, prefix=prefix + "." + kind)
+        for key, value in delta.items():
+            total[key] = total.get(key, 0) + value
+    return total
 
 
 # -- shared plan cache --------------------------------------------------------
@@ -784,14 +887,30 @@ class ReactionPlan:
 # ``plan.cache_hits`` / ``plan.cache_misses`` and, with evictions, through
 # :func:`plan_cache_stats`.
 #
+# A cached plan starts on closures and pays for codegen only once it is
+# hot (PROMOTE_AFTER): most plans of the Sec. 5.2 loop serve a single
+# capacity vector and run a few hundred reactions, fewer than codegen costs.
+#
 # The cache is shared state between whatever threads build reactors — in
 # particular the verification service's scheduler thread and its socket
 # request handlers — so every access happens under ``_plan_lock``.
-# Compilation itself stays inside the lock: racing threads would otherwise
-# duplicate the expensive AST walk only for one result to be discarded.
+# Compilation (and promotion) stays inside the lock: racing threads would
+# otherwise duplicate the expensive work only for one result to be
+# discarded.
+
+#: reactions a cached plan runs on closures before it generates code —
+#: the break-even of codegen.  Measured over the 52 distinct estimator
+#: deployments of the seed-7 ``methodology`` draw (27,124 reactions, best
+#: of 3, 2-CPU container, SCC-ordered schedules): closure plans build in
+#: 0.10 s and run in 3.18 s (117 us a reaction); specialized plans build
+#: in 2.17 s, codegen included, and run in 1.32 s (49 us a reaction), so
+#: generated code pays for itself after about 577 reactions of one plan.
+#: Promotion counts executed reactions only (memo hits never reach the
+#: plan), so it is deterministic.
+PROMOTE_AFTER = 600
 
 _PLAN_CACHE_CAPACITY = 128
-_plan_cache: "OrderedDict[Tuple[str, bool], ReactionPlan]" = None  # type: ignore
+_plan_cache: "OrderedDict[Tuple[str, str], ReactionPlan]" = None  # type: ignore
 _plan_lock = threading.RLock()
 _plan_stats = {"hits": 0, "misses": 0, "evictions": 0}
 
@@ -815,20 +934,24 @@ def shared_plan(
 ) -> ReactionPlan:
     """The process-wide cached plan for ``component``.
 
-    ``specialize`` selects the generated-source fast path
-    (:class:`repro.sim.specialize.SpecializedPlan`); ``None`` means "yes
-    unless ``REPRO_NO_SPECIALIZE`` is set" — callers that just want the
-    fastest correct plan should pass nothing.  Plain and specialized
-    plans are cached under separate keys.  The cache can be emptied with
-    :func:`clear_plan_cache` (useful around benchmarks)."""
+    ``specialize`` decides when the plan gets generated code
+    (:meth:`ReactionPlan.promote`): ``None`` — what callers that just want
+    the fastest correct plan should pass — returns a closure plan that
+    promotes itself after :data:`PROMOTE_AFTER` reactions; ``True`` a
+    :class:`repro.sim.specialize.SpecializedPlan`, generated now;
+    ``False``, or ``REPRO_NO_SPECIALIZE`` set, a closure plan that never
+    promotes.  Each choice is cached under its own key.  The cache can be
+    emptied with :func:`clear_plan_cache` (useful around benchmarks)."""
     global _plan_cache
     from collections import OrderedDict
 
-    from repro.perf import PERF
-    from repro.sim.specialize import specialization_enabled
+    from repro.sim.specialize import SpecializedPlan, specialization_enabled
 
-    want_spec = specialization_enabled(specialize)
-    key = (component_key(component), want_spec)
+    if not specialization_enabled(specialize):
+        mode = "closure"
+    else:
+        mode = "eager" if specialize else "hot"
+    key = (component_key(component), mode)
     with _plan_lock:
         if _plan_cache is None:
             _plan_cache = OrderedDict()
@@ -840,12 +963,12 @@ def shared_plan(
             return plan
         _plan_stats["misses"] += 1
         PERF.incr("plan.cache_misses")
-        if want_spec:
-            from repro.sim.specialize import SpecializedPlan
-
+        if mode == "eager":
             plan = SpecializedPlan(component)
         else:
             plan = ReactionPlan(component)
+            if mode == "hot":
+                plan._promote_at = PROMOTE_AFTER
         _plan_cache[key] = plan
         while len(_plan_cache) > _PLAN_CACHE_CAPACITY:
             _plan_cache.popitem(last=False)

@@ -10,6 +10,7 @@ from repro.lang.analysis import flatten_program
 from repro.lang.ast import Component, Program
 from repro.perf import PERF
 from repro.sim.engine import Oracle, Reactor
+from repro.sim.plan import merge_plan_counters
 from repro.sim.trace import SimTrace
 
 
@@ -43,10 +44,9 @@ def simulate(
     trace.stats["instants"] = len(trace)
     trace.stats["elapsed"] = elapsed
     if base is not None:
-        delta = plan.counters_since(base)
-        trace.stats.update(delta)
-        # attribution: sim.plan.* for closure plans, sim.plan.spec.* for
-        # specialized ones — so bench deltas name the path that produced them
-        PERF.merge(delta, prefix="sim." + plan.kind)
+        # attribution: sim.plan.* for reactions run on closures,
+        # sim.plan.spec.* for generated code — so bench deltas name the
+        # tier that produced them
+        trace.stats.update(merge_plan_counters(plan.counters_since(base), "sim"))
     PERF.add_time("sim.simulate", elapsed)
     return trace

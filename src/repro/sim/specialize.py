@@ -4,13 +4,15 @@ A :class:`~repro.sim.plan.ReactionPlan` already schedules a component
 into slot-indexed steps, but executing one is still a *chain of
 closures* — one Python call frame per AST node per evaluation, plus
 guarded helper calls for every status/value assignment.
-:class:`SpecializedPlan` flattens the plan's entire initial sweep into
-one generated Python function: straight-line status/value code per
-equation (statuses in local variables, slots as integer literals,
-builtin functions bound to module globals), synchronization constraints
+:func:`generate` flattens the plan's entire initial sweep into one
+generated Python function: straight-line status/value code per equation
+(statuses in local variables, slots as integer literals, builtin
+functions bound to module globals), synchronization constraints
 inlined, and the topological order baked into the statement order.  The
-source is compiled once per plan with :func:`compile`/``exec`` and kept
-on the plan (``plan.source``) for inspection.
+source is compiled with :func:`compile`/``exec`` and kept on the plan
+(``plan.source``) for inspection.  A plan installs it with
+:meth:`ReactionPlan.promote <repro.sim.plan.ReactionPlan.promote>`: a
+cached plan once it is hot, a :class:`SpecializedPlan` at construction.
 
 The emitter keeps the source compact, because a design pays
 :func:`compile` on every new plan:
@@ -51,10 +53,12 @@ Two escape hatches:
   statements, or that embeds a constant with no source literal, falls
   back to calling its closure step from inside the sweep;
 - setting ``REPRO_NO_SPECIALIZE=1`` in the environment disables
-  specialization globally — the debugging switch documented in
-  docs/performance.md.
+  specialization globally (cached plans never promote) — the debugging
+  switch documented in docs/performance.md.
 
-Constructing a :class:`SpecializedPlan` records ``plan.codegen_plans``,
+Generating a plan's code — constructing a :class:`SpecializedPlan`, or a
+cached plan promoting itself once hot (:meth:`ReactionPlan.promote
+<repro.sim.plan.ReactionPlan.promote>`) — records ``plan.codegen_plans``,
 ``plan.codegen_bytes`` (the length of the generated source) and the
 ``time.plan.codegen`` phase (source emission plus ``compile``) in
 :data:`repro.perf.PERF`.
@@ -63,7 +67,6 @@ Constructing a :class:`SpecializedPlan` records ``plan.codegen_plans``,
 from __future__ import annotations
 
 import os
-import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
@@ -81,7 +84,6 @@ from repro.lang.ast import (
     When,
 )
 from repro.lang.types import BUILTIN_FUNCTIONS
-from repro.perf import PERF
 from repro.sim.plan import ReactionPlan, _PENDING, _set_status
 
 #: Per-step emitted-statement budget; steps past it keep their closure form.
@@ -1058,56 +1060,18 @@ def generate(plan: ReactionPlan):
 
 
 class SpecializedPlan(ReactionPlan):
-    """A :class:`~repro.sim.plan.ReactionPlan` whose initial sweep is
-    generated straight-line Python instead of closure chains.
+    """A :class:`~repro.sim.plan.ReactionPlan` promoted at construction:
+    its initial sweep is generated straight-line Python instead of
+    closure chains from the first reaction on.
 
     Construction compiles the plan normally first (the closure steps
     serve the residual worklist and any over-budget step), then installs
-    the generated sweep.  Execution, counters and introspection are
-    inherited; :attr:`kind` marks the counters for attribution
-    (``sim.plan.spec.*`` vs ``sim.plan.*``)."""
-
-    kind = "plan.spec"
+    the generated code (:meth:`~repro.sim.plan.ReactionPlan.promote`), so
+    its counters attribute to ``sim.plan.spec.*``."""
 
     def __init__(self, component: Component):
         super().__init__(component)
-        t0 = time.perf_counter()
-        source, sweep_fn, advance_fn, n_inlined = generate(self)
-        PERF.add_time("plan.codegen", time.perf_counter() - t0)
-        PERF.incr("plan.codegen_plans")
-        PERF.incr("plan.codegen_bytes", len(source))
-        self.source = source
-        self._sweep_fn = sweep_fn
-        self._advance_fn = advance_fn
-        self.specialized_steps = n_inlined
-        self.fallback_steps = len(self.steps) - n_inlined
-
-    def _propagate(self, ctx, initial: bool = False) -> None:
-        if initial:
-            nq = self._sweep_fn(ctx)
-            self.counters["sweeps"] += 1
-            if nq or ctx.dirty:
-                self._residual(ctx, nq)
-        else:
-            super()._propagate(ctx, initial)
-
-    def _next_state(self, ctx, state):
-        fn = self._advance_fn
-        if fn is not None:
-            return fn(ctx, state)
-        return super()._next_state(ctx, state)
-
-    def __repr__(self) -> str:
-        return (
-            "SpecializedPlan({!r}: {} signals, {} steps "
-            "[{} inlined], {} registers)".format(
-                self.component.name,
-                self.n_signals,
-                len(self.steps),
-                self.specialized_steps,
-                len(self.pre_nodes),
-            )
-        )
+        self.promote()
 
 
 def specialize(design) -> SpecializedPlan:

@@ -1,11 +1,11 @@
 """Explicit exploration runs on the shared reaction plan.
 
 :func:`repro.mc.compile_lts` takes its plan from
-:func:`repro.sim.plan.shared_plan`: the specialized generated-code plan,
-or the closure plan when ``REPRO_NO_SPECIALIZE`` is set.  Both must
-explore every design identically — same states in the same order, same
-transitions, same invalid-letter sets, same error text — and a cached
-plan's cumulative counters must not leak into ``lts.stats``.
+:func:`repro.sim.plan.shared_plan`: a closure plan that generates code
+once hot, or one that never does when ``REPRO_NO_SPECIALIZE`` is set.
+Both must explore every design identically — same states in the same
+order, same transitions, same invalid-letter sets, same error text — and
+a cached plan's cumulative counters must not leak into ``lts.stats``.
 """
 
 import random
@@ -20,7 +20,7 @@ from repro.lang.ast import Program
 from repro.mc import ReactionMemo, compile_lts, input_alphabet
 from repro.mc.lts import lts_to_dict
 from repro.perf import PERF
-from repro.sim.plan import plan_cache_stats, shared_plan
+from repro.sim.plan import PROMOTE_AFTER, plan_cache_stats, shared_plan
 from tests.test_specialize_batch import _corpus, _random_component
 
 NO_SPEC = "REPRO_NO_SPECIALIZE"
@@ -43,6 +43,11 @@ def _explore(comp, alphabet, max_states):
     return result, list(memo.table.items())
 
 
+def _tier_sum(key):
+    """``key`` summed over the explicit checker's two plan tiers."""
+    return PERF.get("mc.plan." + key) + PERF.get("mc.plan.spec." + key)
+
+
 def _both_plans(monkeypatch, comp, alphabet, max_states):
     monkeypatch.setenv(NO_SPEC, "1")
     closure = _explore(comp, alphabet, max_states)
@@ -61,7 +66,9 @@ class TestSharedPlan:
         after = plan_cache_stats()
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 1
-        assert shared_plan(flat).kind == "plan.spec"
+        plan = shared_plan(flat)
+        ran = sum(c["reactions"] for c in plan.counters_snapshot().values())
+        assert plan.kind == ("plan.spec" if ran > PROMOTE_AFTER else "plan")
         assert lts.stats["sweeps"] == lts.stats["reactions"]
 
     def test_repeated_compile_reports_identical_stats(self, monkeypatch):
@@ -69,10 +76,10 @@ class TestSharedPlan:
         flat = _deployment(modular_producer_consumer(modulus=3), 2)
         runs = []
         for _ in range(2):
-            base = PERF.get("mc.plan.spec.sweeps")
+            base = _tier_sum("sweeps")
             lts = compile_lts(flat)
             runs.append({k: v for k, v in lts.stats.items() if k != "elapsed"})
-            assert PERF.get("mc.plan.spec.sweeps") - base == lts.stats["sweeps"]
+            assert _tier_sum("sweeps") - base == lts.stats["sweeps"]
         assert runs[0] == runs[1]
         assert runs[0]["sweeps"] > 0
 
@@ -131,9 +138,9 @@ def test_parallel_exploration_counts_worker_reactions(monkeypatch):
     monkeypatch.delenv(NO_SPEC, raising=False)
     flat = _deployment(modular_producer_consumer(modulus=2), 3)
     seq = compile_lts(flat, alphabet=FREE)
-    base = PERF.get("mc.plan.spec.sweeps")
+    base = _tier_sum("sweeps")
     par = compile_lts(flat, alphabet=FREE, workers=2)
     assert_isomorphic(seq, par)
     assert par.stats["sweeps"] == seq.stats["sweeps"] > 0
     assert par.stats["residual_passes"] == seq.stats["residual_passes"]
-    assert PERF.get("mc.plan.spec.sweeps") - base == par.stats["sweeps"]
+    assert _tier_sum("sweeps") - base == par.stats["sweeps"]

@@ -18,8 +18,8 @@ from repro.lang.ast import App, Component, Const, Equation, Program, Var
 from repro.lang.types import EVENT, INT
 from repro.perf import PERF
 from repro.sim import Reactor, simulate, simulate_batch, stimuli
-from repro.sim.batch import numpy_available
 from repro.sim.plan import (
+    PROMOTE_AFTER,
     ReactionPlan,
     clear_plan_cache,
     component_key,
@@ -184,19 +184,7 @@ class TestBatchLanes:
         for k, ref in enumerate(refs):
             assert repr(report.traces[k].instants) == repr(ref.instants)
 
-    def test_object_fallback_matches(self):
-        comp = flatten_program(designs.modular_producer_consumer())
-        lanes = [_stimulus(comp, seed) for seed in range(3)]
-        refs = [simulate(comp, iter(rows)) for rows in lanes]
-        with mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "1"}):
-            assert not numpy_available()
-            report = simulate_batch(comp, [iter(rows) for rows in lanes])
-        assert report.backend == "object"
-        for k, ref in enumerate(refs):
-            assert repr(report.traces[k].instants) == repr(ref.instants)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_demotes_on_int64_overflow(self):
+    def test_wide_ints_record_exactly(self):
         comp = Component(
             "big", {"x": INT}, {"y": INT}, {},
             [Equation("y", App("*", (Var("x"), Var("x"))))],
@@ -204,20 +192,39 @@ class TestBatchLanes:
         rows = [{"x": 3}, {"x": 2 ** 40}, {"x": -7}]
         ref = simulate(comp, iter(rows))
         report = simulate_batch(comp, [iter(rows), iter([{"x": 2}])])
-        assert report.backend == "object"
         assert repr(report.traces[0].instants) == repr(ref.instants)
         assert report.traces[1].instants == [{"x": 2, "y": 4}]
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_demotes_on_non_canonical_values(self):
+    def test_non_canonical_values_record_exactly(self):
         comp = Component(
             "ev", {"e": EVENT}, {"o": EVENT}, {}, [Equation("o", Var("e"))]
         )
         rows = [{"e": 1}, {}, {"e": True}]  # 1 is a tick, but not a bool
         ref = simulate(comp, iter(rows))
         report = simulate_batch(comp, [iter(rows)])
-        assert report.backend == "object"
         assert repr(report.traces[0].instants) == repr(ref.instants)
+
+    def test_closure_corpus_byte_identical(self):
+        """Wide batches on the closure tier: traces *and* captured
+        rejection errors match one reactor per lane across the designs
+        corpus."""
+        for name, design in _corpus():
+            comp = (
+                flatten_program(design)
+                if isinstance(design, Program)
+                else design
+            )
+            lane_rows = [_stimulus(comp, 7 * k + 1, n=12) for k in range(12)]
+            refs = [_reference_with_errors(comp, rows) for rows in lane_rows]
+            report = simulate_batch(
+                comp,
+                [iter(rows) for rows in lane_rows],
+                specialize=False,
+                capture_errors=True,
+            )
+            for k, (out, err) in enumerate(refs):
+                assert report.errors[k] == err, (name, k)
+                assert repr(report.traces[k].instants) == repr(out), (name, k)
 
     def test_capture_errors_per_lane(self):
         comp = Component(
@@ -256,9 +263,7 @@ class TestBatchMemo:
         comp = flatten_program(designs.modular_producer_consumer())
         rows = _stimulus(comp, 3, n=12)
         ref = simulate(comp, iter(rows))
-        with mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "1"}):
-            report = simulate_batch(comp, [iter(rows) for _ in range(4)])
-        assert report.backend == "object"
+        report = simulate_batch(comp, [iter(rows) for _ in range(4)])
         assert report.stats["memo_hits"] >= 3 * 12
         for k in range(4):
             assert repr(report.traces[k].instants) == repr(ref.instants)
@@ -266,7 +271,7 @@ class TestBatchMemo:
     def test_memo_distinguishes_bool_from_int(self):
         """``1 == True`` hashes alike; the memo must not conflate a
         canonical tick with the non-canonical int form (they record
-        differently — one demotes the batch, the other does not)."""
+        differently, and rows must stay byte-identical per lane)."""
         comp = Component(
             "ev", {"e": EVENT}, {"o": EVENT}, {}, [Equation("o", Var("e"))]
         )
@@ -305,67 +310,22 @@ def _reference_with_errors(comp, rows):
     return out, err
 
 
-class TestVectorExecutor:
-    """The cross-lane numpy executor (unspecialized plan, wide batch)."""
+def _accumulator():
+    """A running sum: its state never repeats on positive inputs, so no
+    batch-memo hit ever stands in for a reaction."""
+    from repro.lang.ast import Pre
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_vector_corpus_byte_identical(self):
-        """Vector-mode traces *and* captured rejection errors match the
-        per-lane scalar engine across the designs corpus."""
-        lanes_n = 12
-        vector_runs = 0
-        for name, design in _corpus():
-            comp = (
-                flatten_program(design)
-                if isinstance(design, Program)
-                else design
-            )
-            lane_rows = [
-                _stimulus(comp, 7 * k + 1, n=12) for k in range(lanes_n)
-            ]
-            refs = [_reference_with_errors(comp, rows) for rows in lane_rows]
-            report = simulate_batch(
-                comp,
-                [iter(rows) for rows in lane_rows],
-                specialize=False,
-                capture_errors=True,
-            )
-            if report.stats["mode"] == "vector":
-                vector_runs += 1
-            for k, (out, err) in enumerate(refs):
-                assert report.errors[k] == err, (name, k)
-                assert repr(report.traces[k].instants) == repr(out), (name, k)
-        # the corpus is bool/int-typed throughout: every design must have
-        # taken the vector path, or the mode gate has regressed
-        assert vector_runs == len(_corpus())
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_wide_values_bail_to_scalar(self):
-        """Values past the int64 overflow guard restart the whole batch
-        on the scalar path with identical output."""
-        comp = Component(
-            "big", {"x": INT}, {"y": INT}, {},
-            [Equation("y", App("*", (Var("x"), Var("x"))))],
-        )
-        lanes = [[{"x": k}, {"x": 2 ** 40}, {"x": -k}] for k in range(10)]
-        refs = [simulate(comp, iter(rows)) for rows in lanes]
-        report = simulate_batch(
-            comp, [iter(rows) for rows in lanes], specialize=False
-        )
-        assert report.stats["mode"] == "scalar"
-        assert report.backend == "object"  # 2**80 products demote too
-        for k, ref in enumerate(refs):
-            assert repr(report.traces[k].instants) == repr(ref.instants)
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
-    def test_specialized_plan_prefers_memo_scalar(self):
-        comp = flatten_program(designs.modular_producer_consumer())
-        lane_rows = [_stimulus(comp, k, n=6) for k in range(12)]
-        report = simulate_batch(comp, [iter(rows) for rows in lane_rows])
-        assert report.stats["mode"] == "scalar"
+    return Component(
+        "acc", {"a": INT}, {"y": INT}, {},
+        [Equation("y", App("+", (Var("a"), Pre(0, Var("y")))))],
+    )
 
 
 class TestCounterAttribution:
+    """Reactions count under the tier that ran them: ``plan`` on
+    closures, ``plan.spec`` on generated code; the per-tier sums equal
+    the call's own stats."""
+
     def test_plan_vs_spec_vs_batch_phases(self):
         comp = flatten_program(designs.producer_consumer())
         rows = _stimulus(comp, 0, n=10)
@@ -386,7 +346,9 @@ class TestCounterAttribution:
         # the second lane is hits from start to finish
         assert rep.stats["reactions"] + rep.stats["memo_hits"] == 20
         assert rep.stats["memo_hits"] >= 10
-        assert PERF.get("batch.plan.spec.reactions") == rep.stats["reactions"]
+        # a fresh cached plan is cold: its reactions run on closures
+        assert PERF.get("batch.plan.reactions") == rep.stats["reactions"]
+        assert PERF.get("batch.plan.spec.reactions") == 0
         assert PERF.get("batch.memo_hits") == rep.stats["memo_hits"]
         assert PERF.get("batch.lanes") == 2
         assert PERF.get("batch.instants") == 20
@@ -394,22 +356,44 @@ class TestCounterAttribution:
         with mock.patch.dict(os.environ, {"REPRO_NO_SPECIALIZE": "1"}):
             rep2 = simulate_batch(comp, [iter(rows)])
         assert rep2.stats["reactions"] + rep2.stats["memo_hits"] == 10
-        assert PERF.get("batch.plan.reactions") == rep2.stats["reactions"]
+        assert (
+            PERF.get("batch.plan.reactions")
+            == rep.stats["reactions"] + rep2.stats["reactions"]
+        )
+
+    def test_promotion_splits_counters_by_tier(self):
+        comp = _accumulator()
+        n = PROMOTE_AFTER + 50
+        rows = [{"a": 1 + i % 3} for i in range(n)]
+        clear_plan_cache()
+        PERF.reset()
+        report = simulate_batch(comp, [iter(rows)])
+        assert PERF.get("batch.plan.reactions") == PROMOTE_AFTER
+        assert PERF.get("batch.plan.spec.reactions") == 50
+        for key in ("reactions", "sweeps", "residual_passes"):
+            assert (
+                PERF.get("batch.plan." + key)
+                + PERF.get("batch.plan.spec." + key)
+                == report.stats[key]
+            ), key
+        assert report.stats["reactions"] == n
+        clear_plan_cache()
 
     def test_sweep_merges_batch_counters(self):
         from repro.perf.sweep import sweep
 
         comp = flatten_program(designs.producer_consumer())
         rows = _stimulus(comp, 1, n=8)
+        clear_plan_cache()
         PERF.reset()
         report = sweep(
             lambda _: simulate_batch(comp, [iter(rows)]).lanes, [0, 1]
         )
         assert report.values() == [1, 1]
         per_task = [r.counters for r in report.results]
-        total = sum(c.get("batch.plan.spec.reactions", 0) for c in per_task)
+        total = sum(c.get("batch.plan.reactions", 0) for c in per_task)
         assert total == 16
-        assert PERF.get("batch.plan.spec.reactions") == 16
+        assert PERF.get("batch.plan.reactions") == 16
 
 
 class TestEstimatorLanes:
